@@ -17,8 +17,8 @@ cargo fmt --all -- --check
 echo "== clippy =="
 # The vendored stand-ins mimic external crate APIs and are exempt from
 # first-party lint standards.
-# `-D deprecated` keeps the run/run_metered/run_traced shims
-# compile-warn only: first-party code must stay on the builder API.
+# `-D deprecated` fails the build if first-party code calls any
+# `#[deprecated]` item.
 cargo clippy --offline --workspace \
     --exclude rand --exclude proptest --exclude criterion \
     --all-targets -- -D warnings -D deprecated
@@ -87,6 +87,9 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
     "$DET_DIR/rep/fig5.trace.json"
 "$EXP" report "$DET_DIR/rep" --out "$DET_DIR/rep/report.md"
 grep -q "## Paper drift" "$DET_DIR/rep/report.md"
+# The fig5 drift table must compare something: a run whose gauges
+# went missing would otherwise pass with "0 comparison(s)".
+grep -Eq '^[1-9][0-9]* comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/rep/report.md"
 
 echo "== power/energy smoke =="
 # The residency-model targets must run, their report must render the
@@ -95,7 +98,7 @@ echo "== power/energy smoke =="
 "$EXP" energy --quick --metrics "$DET_DIR/energy" > /dev/null
 "$EXP" report "$DET_DIR/energy" --out "$DET_DIR/energy/report.md"
 grep -q "## Power/energy" "$DET_DIR/energy/report.md"
-grep -q "0 breach(es)" "$DET_DIR/energy/report.md"
+grep -Eq '^[0-9]+ comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/energy/report.md"
 "$EXP" configurator --quick > "$DET_DIR/configurator.out"
 grep -q "meet all requirements" "$DET_DIR/configurator.out"
 
@@ -110,7 +113,7 @@ grep -q "placement margin_aware:" "$DET_DIR/fleet.out"
 grep -q "margin-aware over capacity-weighted placement" "$DET_DIR/fleet.out"
 "$EXP" report "$DET_DIR/fleet" --out "$DET_DIR/fleet/report.md"
 grep -q "## Fleet federation" "$DET_DIR/fleet/report.md"
-grep -q "0 breach(es)" "$DET_DIR/fleet/report.md"
+grep -Eq '^[0-9]+ comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/fleet/report.md"
 
 echo "== adaptive governor smoke =="
 # The closed-loop ablation must run (its internal asserts cover the
@@ -120,7 +123,7 @@ echo "== adaptive governor smoke =="
 grep -q "0 envelope violations" "$DET_DIR/adaptive.out"
 "$EXP" report "$DET_DIR/adaptive" --out "$DET_DIR/adaptive/report.md"
 grep -q "## Adaptive margin" "$DET_DIR/adaptive/report.md"
-grep -q "0 breach(es)" "$DET_DIR/adaptive/report.md"
+grep -Eq '^[0-9]+ comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/adaptive/report.md"
 
 echo "== health plane smoke =="
 # The streaming health plane: the run must open incidents and print the
@@ -139,6 +142,6 @@ diff -u "$DET_DIR/health1/health.incidents.jsonl" \
     "$DET_DIR/health/health.incidents.jsonl"
 "$EXP" report "$DET_DIR/health" --out "$DET_DIR/health/report.md"
 grep -q "## Health" "$DET_DIR/health/report.md"
-grep -q "0 breach(es)" "$DET_DIR/health/report.md"
+grep -Eq '^[0-9]+ comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/health/report.md"
 
 echo "CI OK"

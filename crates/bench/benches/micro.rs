@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the hot simulator primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dram::channel::{Channel, ChannelConfig};
 use ecc::bamboo::BlockCodec;
 use ecc::rs::ReedSolomon;
 use hetero_dmr::governor::EpochGovernor;
@@ -101,14 +100,13 @@ fn protocol_fast_read(c: &mut Criterion) {
 }
 
 fn frequency_transition(c: &mut Criterion) {
-    c.bench_function("channel_frequency_round_trip", |b| {
-        let mut t = 0u64;
-        let mut channel = Channel::new(ChannelConfig::paper_default());
+    c.bench_function("protocol_write_mode_round_trip", |b| {
+        let mut ch = HeteroDmrChannel::new(1 << 16);
+        let mut t = ch.set_used_blocks(1 << 14, 0);
         b.iter(|| {
-            let up = channel.begin_speed_up(t).unwrap();
-            let down = channel.begin_slow_down(up).unwrap();
-            t = down;
-            black_box(channel.state_at(t))
+            let w = ch.begin_write_mode(t).expect("read mode leaves for writes");
+            t = ch.begin_read_mode(w).expect("write mode resumes reads");
+            black_box(t)
         })
     });
 }

@@ -1,7 +1,7 @@
 //! The evaluated memory designs as [`memsim::ChannelMode`] builders.
 
 use dram::timing::MemorySetting;
-use dram::PS_PER_US;
+use dram::FREQUENCY_TRANSITION_PS;
 use memsim::config::{ChannelMode, HierarchyConfig};
 
 /// A memory-system design from the paper's evaluation.
@@ -114,7 +114,7 @@ impl MemoryDesign {
                 ChannelMode::builder()
                     .read_timing(fast)
                     .write_timing(safe)
-                    .turnaround_penalty_ps(PS_PER_US)
+                    .turnaround_penalty_ps(FREQUENCY_TRANSITION_PS)
                     // The 12 800-write batches the LLC cleaning of
                     // Section III-E exists to build (100× a
                     // conventional 128-write batch).
@@ -209,7 +209,7 @@ mod tests {
         let m = MemoryDesign::HeteroDmr { margin_mts: 800 }.channel_mode();
         assert_eq!(m.read_timing.data_rate.mts(), 4000);
         assert_eq!(m.write_timing.data_rate.mts(), 3200, "writes at spec");
-        assert_eq!(m.turnaround_penalty_ps, PS_PER_US);
+        assert_eq!(m.turnaround_penalty_ps, FREQUENCY_TRANSITION_PS);
         assert_eq!(m.write_high_watermark, 12_800);
         assert_eq!(m.read_ranks, Some(2));
         assert_eq!(m.broadcast_copies, 1);

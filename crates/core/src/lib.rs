@@ -23,9 +23,9 @@
 //! Crate layout:
 //!
 //! * [`replication`] — free-module tracking and copy placement,
-//! * [`protocol`] — the functional protocol engine on real
-//!   [`dram::Channel`] + [`ecc::BlockCodec`] state (reads, writes,
-//!   error injection, recovery),
+//! * [`protocol`] — the functional protocol engine on a
+//!   transition-level channel clock and real [`ecc::BlockCodec`]
+//!   state (reads, writes, error injection, recovery),
 //! * [`governor`] — the per-epoch SDC budget,
 //! * [`adaptive`] — the closed-loop adaptive margin governor that
 //!   steps the data rate per epoch from observed CE/UE telemetry

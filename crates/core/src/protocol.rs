@@ -1,24 +1,24 @@
 //! The functional Hetero-DMR protocol engine.
 //!
 //! This module executes the paper's Figure 8 protocol against real
-//! state: a [`dram::Channel`] (frequency-transition and self-refresh
-//! machinery), an [`ecc::BlockCodec`] (Bamboo-style detection-only /
-//! detect+correct decodes), the [`crate::replication`] manager, and
-//! the [`crate::governor`] SDC budget. Block contents are held
-//! byte-for-byte, so the central reliability claim is *executable*:
-//! whatever error model corrupts the unsafely fast copies, every read
-//! returns the data that was written.
+//! state: the channel's frequency state, an [`ecc::BlockCodec`]
+//! (Bamboo-style detection-only / detect+correct decodes), the
+//! [`crate::replication`] manager, and the [`crate::governor`] SDC
+//! budget. Block contents are held byte-for-byte, so the central
+//! reliability claim is *executable*: whatever error model corrupts
+//! the unsafely fast copies, every read returns the data that was
+//! written.
 //!
-//! Timing fidelity (queueing, bandwidth, batching) lives in `memsim`;
-//! this engine models protocol-visible latencies only (the 1 µs
-//! frequency transitions and self-refresh exits).
+//! Timing fidelity (commands, queueing, bandwidth, batching) lives in
+//! `memsim`; this engine models protocol-visible latencies only: each
+//! frequency transition costs [`FREQUENCY_TRANSITION_PS`], and the
+//! originals accept commands tXS after leaving self-refresh.
 
 use crate::faults::PermanentFaultTracker;
 use crate::governor::{EpochGovernor, GovernorState};
 use crate::replication::{ReplicationAction, ReplicationManager};
-use dram::channel::{Channel, ChannelConfig};
-use dram::module::ModuleId;
-use dram::Picos;
+use dram::timing::MemorySetting;
+use dram::{Picos, FREQUENCY_TRANSITION_PS};
 use ecc::bamboo::{BlockCodec, DetectOutcome, EccBlock, BLOCK_DATA_BYTES};
 use ecc::inject::{inject, ErrorModel};
 use ecc::tally::ErrorTally;
@@ -45,6 +45,79 @@ pub enum OpMode {
     /// Replicated but the epoch error budget is exhausted: everything
     /// at specification until the next epoch.
     Degraded,
+}
+
+/// Modules per channel: the paper populates each channel with two,
+/// one holding the originals and one the copies.
+const MODULES_PER_CHANNEL: usize = 2;
+
+/// The channel clock's frequency state (Figures 9 and 10).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Frequency {
+    /// At manufacturer specification (safe for every module).
+    Safe,
+    /// Mid-transition from safe to fast; completes at `until`.
+    SpeedingUp { until: Picos },
+    /// Beyond specification (only the copies are accessed).
+    UnsafelyFast,
+    /// Mid-transition from fast to safe; completes at `until`.
+    SlowingDown { until: Picos },
+}
+
+/// The channel clock at transition level. A transition completes
+/// lazily: the clock notices it, and counts it, the next time its
+/// state is consulted at or after the transition's end.
+#[derive(Debug, Clone, Copy)]
+struct FrequencyClock {
+    state: Frequency,
+    /// Completed transitions (both directions) as of the last
+    /// consultation.
+    transitions: u64,
+}
+
+impl FrequencyClock {
+    fn new() -> FrequencyClock {
+        FrequencyClock {
+            state: Frequency::Safe,
+            transitions: 0,
+        }
+    }
+
+    /// The state as of `now`, completing a transition that has ended.
+    fn state_at(&mut self, now: Picos) -> Frequency {
+        match self.state {
+            Frequency::SpeedingUp { until } if now >= until => {
+                self.state = Frequency::UnsafelyFast;
+                self.transitions += 1;
+            }
+            Frequency::SlowingDown { until } if now >= until => {
+                self.state = Frequency::Safe;
+                self.transitions += 1;
+            }
+            _ => {}
+        }
+        self.state
+    }
+
+    /// Begins the safe→fast transition of Figure 10 and returns its
+    /// end, or `None` unless the clock is safe at `now`.
+    fn begin_speed_up(&mut self, now: Picos) -> Option<Picos> {
+        let until = now + FREQUENCY_TRANSITION_PS;
+        (self.state_at(now) == Frequency::Safe).then(|| {
+            self.state = Frequency::SpeedingUp { until };
+            until
+        })
+    }
+
+    /// Begins the fast→safe transition of Figure 9 and returns its
+    /// end, or `None` unless the clock is unsafely fast at `now`.
+    fn begin_slow_down(&mut self, now: Picos) -> Option<Picos> {
+        let until = now + FREQUENCY_TRANSITION_PS;
+        (self.state_at(now) == Frequency::UnsafelyFast).then(|| {
+            self.state = Frequency::SlowingDown { until };
+            until
+        })
+    }
 }
 
 /// How a read was satisfied.
@@ -150,7 +223,10 @@ pub struct ProtocolStats {
 /// One channel under the Hetero-DMR protocol.
 #[derive(Debug)]
 pub struct HeteroDmrChannel {
-    channel: Channel,
+    clock: FrequencyClock,
+    /// tXS at specification: how long after leaving self-refresh the
+    /// originals accept commands.
+    self_refresh_exit_ps: Picos,
     codec: BlockCodec,
     governor: EpochGovernor,
     replication: ReplicationManager,
@@ -196,13 +272,12 @@ impl HeteroDmrChannel {
     /// Creates a channel with a custom SDC governor (small budgets are
     /// useful in tests and ablations).
     pub fn with_governor(blocks_per_module: u64, governor: EpochGovernor) -> HeteroDmrChannel {
-        let config = ChannelConfig::paper_default();
-        let modules = config.modules;
         HeteroDmrChannel {
-            channel: Channel::new(config),
+            clock: FrequencyClock::new(),
+            self_refresh_exit_ps: MemorySetting::Specified.timing().t_xs_ps(),
             codec: BlockCodec::new(),
             governor,
-            replication: ReplicationManager::new(modules, blocks_per_module),
+            replication: ReplicationManager::new(MODULES_PER_CHANNEL, blocks_per_module),
             originals: HashMap::new(),
             copies: HashMap::new(),
             mode: OpMode::Conventional,
@@ -280,7 +355,7 @@ impl HeteroDmrChannel {
 
     /// Completed channel frequency transitions.
     pub fn transitions(&self) -> u64 {
-        self.channel.transitions()
+        self.clock.transitions
     }
 
     /// Whether a permanent fault forced the module roles to swap.
@@ -346,25 +421,15 @@ impl HeteroDmrChannel {
     }
 
     /// Transitions into unsafely fast read mode (Figure 8b): originals
-    /// precharged and put into self-refresh, channel clocked up.
-    /// Returns when the channel is usable.
+    /// put into self-refresh, channel clocked up. Returns when the
+    /// channel is usable.
+    ///
+    /// The originals are in self-refresh exactly while the mode is
+    /// [`OpMode::ReadMode`]. The protocol never opens a row, so they
+    /// enter it at `now` with nothing to precharge.
     fn enter_read_mode(&mut self, now: Picos) -> Picos {
-        let timing = *match self.channel.state_at(now) {
-            dram::channel::FrequencyState::Safe => &self.channel.config().safe_timing,
-            _ => &self.channel.config().fast_timing,
-        };
-        let originals = self
-            .channel
-            .module_mut(ModuleId(0))
-            .expect("module 0 exists");
-        if !originals.in_self_refresh() {
-            let done = originals.precharge_all(now, &timing);
-            originals
-                .enter_self_refresh(done)
-                .expect("precharged module accepts self-refresh");
-        }
         let ready = self
-            .channel
+            .clock
             .begin_speed_up(now)
             .expect("safe channel can speed up");
         self.set_mode(OpMode::ReadMode);
@@ -384,18 +449,12 @@ impl HeteroDmrChannel {
     /// self-refresh. Returns when both are ready.
     fn leave_read_mode(&mut self, now: Picos) -> Picos {
         let until = self
-            .channel
+            .clock
             .begin_slow_down(now)
             .expect("fast channel can slow down");
-        let timing = self.channel.config().safe_timing;
-        let originals = self
-            .channel
-            .module_mut(ModuleId(0))
-            .expect("module 0 exists");
-        let ready = originals
-            .exit_self_refresh(until, &timing)
-            .expect("originals were in self-refresh");
-        let safe_at = ready.max(until);
+        // The originals leave self-refresh once the clock is back at
+        // specification.
+        let safe_at = until + self.self_refresh_exit_ps;
         if let Some(tracer) = &self.trace {
             tracer.instant(
                 "mode.read_exit",
@@ -527,7 +586,6 @@ impl HeteroDmrChannel {
         if !self.roles_swapped && self.faulty_copy_blocks.contains(&offset) {
             observed.data[0] ^= 0x01;
         }
-        let mut requested_addr = addr;
         let mut injected = false;
         if let Some((rng, model)) = injection {
             self.tally.note_injected(model);
@@ -535,17 +593,16 @@ impl HeteroDmrChannel {
             let inj = inject(rng, model, addr, &mut observed);
             if inj.effective_address != addr {
                 // Address/command error: the device returned some other
-                // location's content.
+                // location's content. Detection below still checks it
+                // against the address the CPU asked for.
                 let other_block = inj.effective_address / BLOCK_DATA_BYTES as u64;
                 observed = Self::stored(
                     &self.copies,
                     &self.codec,
                     other_block % self.replication.capacity_blocks().max(1),
                 );
-                requested_addr = addr; // the CPU still checks against what it asked for
             }
         }
-        let _ = requested_addr;
 
         match self.codec.detect(addr, &observed) {
             DetectOutcome::Clean => {
@@ -692,6 +749,7 @@ impl HeteroDmrChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -724,7 +782,7 @@ mod tests {
         ch.write(7, &data(0x11), 0).unwrap();
         let ready = ch.set_used_blocks(BLOCKS / 4, 100);
         assert_eq!(ch.mode(), OpMode::ReadMode);
-        assert!(ready >= 100 + dram::channel::FREQUENCY_TRANSITION_PS);
+        assert!(ready >= 100 + FREQUENCY_TRANSITION_PS);
         let (d, outcome, _) = ch.read::<StdRng>(7, ready, None).unwrap();
         assert_eq!(d, data(0x11));
         assert_eq!(outcome, ReadOutcome::FastClean);
@@ -969,6 +1027,52 @@ mod tests {
         }
         assert!(!ch.roles_swapped(), "distinct transient errors never remap");
         assert_eq!(ch.stats().remaps, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The frequency protocol under arbitrary request sequences and
+        /// clock advances: every illegal request (redundant, or made
+        /// mid-transition) is rejected and leaves the state as it was,
+        /// every transition costs exactly [`FREQUENCY_TRANSITION_PS`],
+        /// and the count equals the number of completed transitions.
+        #[test]
+        fn frequency_clock_protocol_is_sound(
+            steps in proptest::collection::vec(
+                (any::<bool>(), 0..2 * FREQUENCY_TRANSITION_PS),
+                1..40,
+            )
+        ) {
+            let mut clock = FrequencyClock::new();
+            let (mut now, mut begun) = (0, 0u64);
+            for (want_fast, advance) in steps {
+                now += advance;
+                let state = clock.state_at(now);
+                let in_flight = matches!(
+                    state,
+                    Frequency::SpeedingUp { .. } | Frequency::SlowingDown { .. }
+                );
+                prop_assert_eq!(clock.transitions, begun - u64::from(in_flight));
+                let result = if want_fast {
+                    clock.begin_speed_up(now)
+                } else {
+                    clock.begin_slow_down(now)
+                };
+                match (state, want_fast) {
+                    (Frequency::Safe, true) | (Frequency::UnsafelyFast, false) => {
+                        prop_assert_eq!(result, Some(now + FREQUENCY_TRANSITION_PS));
+                        begun += 1;
+                    }
+                    _ => {
+                        prop_assert_eq!(result, None, "{:?} accepted from {:?}", want_fast, state);
+                        prop_assert_eq!(clock.state_at(now), state);
+                    }
+                }
+            }
+            clock.state_at(now + FREQUENCY_TRANSITION_PS);
+            prop_assert_eq!(clock.transitions, begun);
+        }
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! DDR4 device-level substrate for the Hetero-DMR reproduction.
+//! DDR4 device parameters for the Hetero-DMR reproduction.
 //!
-//! This crate models the pieces of a DDR4 memory system that the paper's
-//! architecture manipulates directly:
+//! This crate describes the memory devices the paper's architecture
+//! runs at and beyond specification:
 //!
 //! * [`rate`] — data rates in MT/s and the derived clock period,
 //! * [`timing`] — JEDEC-style timing parameter sets, including the four
 //!   memory settings of Table II of the paper,
-//! * [`command`] — the DDR command vocabulary,
-//! * [`bank`] — per-bank state machines with timing-legality tracking,
-//! * [`rank`] — rank-level constraints (tRRD/tFAW) and activity counters,
 //! * [`organization`] — physical module organization (chips/rank, ranks,
 //!   density, ECC chips),
-//! * [`module`] — a DIMM with self-refresh state,
-//! * [`channel`] — a memory channel with the runtime frequency-scaling
-//!   protocol of Figures 9 and 10 of the paper and broadcast writes,
 //! * [`power`] — activity counters consumed by the `energy` crate.
+//!
+//! Command-level timing is modelled by `memsim`'s controller; the
+//! Hetero-DMR protocol engine in `hetero_dmr::protocol` keeps only the
+//! channel's frequency state, each change costing
+//! [`FREQUENCY_TRANSITION_PS`].
 //!
 //! All times are integer **picoseconds** ([`Picos`]) so that frequency
 //! changes at runtime never lose precision.
@@ -31,22 +30,11 @@
 //! assert_eq!(spec.data_rate.clock_period_ps(), 625);
 //! ```
 
-pub mod bank;
-pub mod channel;
-pub mod command;
-pub mod error;
-pub mod module;
 pub mod organization;
 pub mod power;
-pub mod rank;
 pub mod rate;
 pub mod timing;
 
-pub use bank::{Bank, BankState};
-pub use channel::{Channel, ChannelConfig, FrequencyState};
-pub use command::Command;
-pub use error::DramError;
-pub use module::{Module, ModuleId};
 pub use organization::ModuleOrganization;
 pub use power::ActivityCounters;
 pub use rate::DataRate;
@@ -70,6 +58,11 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 
 /// Picoseconds per second.
 pub const PS_PER_S: u64 = 1_000_000_000_000;
+
+/// End-to-end cost of one channel frequency transition in either
+/// direction: precharge, change the clock, re-synchronize (the paper's
+/// measured ~1 µs, Section III-A1).
+pub const FREQUENCY_TRANSITION_PS: Picos = PS_PER_US;
 
 /// Convert nanoseconds (possibly fractional) to integer picoseconds,
 /// rounding to the nearest picosecond.

@@ -214,6 +214,18 @@ fn usage(msg: &str) -> i32 {
     2
 }
 
+/// Reads an optional run artifact: `None` only when the file does not
+/// exist. Any other failure (unreadable, not UTF-8, a directory) is an
+/// error naming the path, so a damaged run never reports as one that
+/// simply lacks the artifact.
+fn read_if_present(path: &str) -> Result<Option<String>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("cannot read {path}: {e}")),
+    }
+}
+
 /// Builds the report text; the second return is the breach count.
 fn generate(dir: &str, refs: &str) -> Result<(String, usize), String> {
     let manifest_path = format!("{dir}/manifest.json");
@@ -227,19 +239,19 @@ fn generate(dir: &str, refs: &str) -> Result<(String, usize), String> {
         .to_string();
 
     let metrics_path = format!("{dir}/{target}.metrics.jsonl");
-    let snapshot = match std::fs::read_to_string(&metrics_path) {
-        Ok(text) => parse_jsonl(&text).map_err(|e| format!("{metrics_path}: {e}"))?,
-        Err(_) => Snapshot::default(),
+    let snapshot = match read_if_present(&metrics_path)? {
+        Some(text) => parse_jsonl(&text).map_err(|e| format!("{metrics_path}: {e}"))?,
+        None => Snapshot::default(),
     };
 
     let trace_path = format!("{dir}/{target}.trace.json");
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(text) => {
+    let trace = match read_if_present(&trace_path)? {
+        Some(text) => {
             let events = parse_chrome_trace(&text).map_err(|e| format!("{trace_path}: {e}"))?;
             check_well_nested(&events).map_err(|e| format!("{trace_path}: {e}"))?;
             Some(events)
         }
-        Err(_) => None,
+        None => None,
     };
 
     let mut md = String::new();
@@ -643,20 +655,20 @@ fn sparkline(windows: &[(u64, telemetry::series::WindowAgg)], cap: usize) -> Str
 /// produced them.
 fn render_health(md: &mut String, dir: &str, target: &str) -> Result<(), String> {
     let series_path = format!("{dir}/{target}.series.jsonl");
-    let series = match std::fs::read_to_string(&series_path) {
-        Ok(text) => {
+    let series = match read_if_present(&series_path)? {
+        Some(text) => {
             parse_series_jsonl(&text)
                 .map_err(|e| format!("{series_path}: {e}"))?
                 .entries
         }
-        Err(_) => Vec::new(),
+        None => Vec::new(),
     };
     let incidents_path = format!("{dir}/health.incidents.jsonl");
-    let ledger = match std::fs::read_to_string(&incidents_path) {
-        Ok(text) => {
+    let ledger = match read_if_present(&incidents_path)? {
+        Some(text) => {
             Some(parse_incidents_jsonl(&text).map_err(|e| format!("{incidents_path}: {e}"))?)
         }
-        Err(_) => None,
+        None => None,
     };
     if series.is_empty() && ledger.is_none() {
         return Ok(());

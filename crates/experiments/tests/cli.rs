@@ -144,3 +144,36 @@ fn fig12_metrics_carry_controller_governor_and_ecc_series() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn report_rejects_unreadable_artifacts_naming_the_path() {
+    let dir = tmp_dir("report_unreadable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run(&["table1", "--metrics", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "table1 run failed: {out:?}");
+    // Every optional artifact the report reads: a missing one is
+    // skipped, but one that exists and cannot be read (here: not
+    // UTF-8) must fail the report rather than count as absent.
+    let artifacts = [
+        "table1.metrics.jsonl",
+        "table1.trace.json",
+        "table1.series.jsonl",
+        "health.incidents.jsonl",
+    ];
+    for name in artifacts {
+        let path = dir.join(name);
+        let saved = std::fs::read(&path).ok();
+        std::fs::write(&path, [0xFF, 0xFE, b'\n']).unwrap();
+        let out = run(&["report", dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(path.to_str().unwrap()), "{name}: {err}");
+        match saved {
+            Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+            None => std::fs::remove_file(&path).unwrap(),
+        }
+    }
+    let out = run(&["report", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "intact run must report: {out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

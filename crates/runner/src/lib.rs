@@ -8,10 +8,9 @@
 //! - [`pool`] — a bounded scoped-thread worker pool with
 //!   order-preserving [`parallel_map`] and chunking-independent
 //!   integer reductions ([`parallel_count`], [`parallel_tally`]).
-//! - [`windows`] — coarse-grained time-parallel window chains:
+//! - [`windows`] — coarse-grained window chains:
 //!   [`windows::window_chain`] runs a stateful simulation split into
-//!   windows serially, [`windows::speculative_chain`] overlaps future
-//!   windows on spare permits and reconciles them deterministically.
+//!   windows in order.
 //! - [`Scenario`]/[`Runner`] — named, seeded experiment tasks with
 //!   buffered output, per-task telemetry snapshots, and panic
 //!   isolation; outcomes come back in input order.

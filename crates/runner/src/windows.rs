@@ -1,62 +1,17 @@
-//! Coarse-grained time-parallel window execution with deterministic
-//! reconciliation.
+//! Coarse-grained window execution.
 //!
 //! A simulation run splits into a chain of windows `W0..Wn`; window
 //! `i+1` depends on the exact simulator state window `i` leaves
-//! behind, so the chain is inherently sequential. What *can* run in
-//! parallel is speculation: while the committed frontier executes
-//! window `i`, spare workers execute windows `i+1..` from *predicted*
-//! entry states. When the frontier catches up, a speculative result is
-//! adopted only if its predicted entry state's digest equals the
-//! digest of the state the committed chain actually produced;
-//! otherwise the speculative work is discarded and the window is
-//! re-simulated from the true state.
-//!
-//! Because adoption is gated on entry-state equality, every committed
-//! `(state, result)` pair is a pure function of the initial state and
-//! the window inputs — never of worker count, scheduling, or predictor
-//! quality. A wrong predictor costs wasted work, not wrong answers;
-//! zero spare permits degenerate to the serial chain. That is the same
-//! common-case-versus-contract discipline the memsim differential
-//! suite applies to the controller: the fast path may be clever, the
-//! observable behaviour must be boring.
+//! behind, so the chain runs in order. [`window_chain`] threads the
+//! state through the windows and collects each window's result.
 //!
 //! The window inputs themselves must not depend on who executes them:
 //! callers that need per-window randomness should derive it with
 //! [`crate::seed::iteration_seed`]`(run_seed, window_index)` so the
 //! stream is a pure function of the window's position in the chain.
 
-use crate::pool::Permits;
-
-/// Upper bound on in-flight speculative windows per round, independent
-/// of how many permits the pool could lend: each one holds a full
-/// cloned state, so lookahead trades memory for latency.
-const MAX_LOOKAHEAD: usize = 8;
-
-/// Outcome accounting for one [`speculative_chain`] run. Diagnostics
-/// only — the committed results never depend on these numbers.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ChainStats {
-    /// Windows executed and committed (always the full chain length).
-    pub committed: usize,
-    /// Speculative window executions launched on spare workers.
-    pub speculated: usize,
-    /// Speculative executions whose predicted entry state matched the
-    /// committed chain and whose results were adopted as-is.
-    pub adopted: usize,
-    /// Speculative executions discarded on a digest mismatch or a
-    /// panicked speculative worker (the window was then re-simulated
-    /// from the true state by a later round).
-    pub replayed: usize,
-}
-
-/// Runs the window chain serially: the degenerate (and, on a
-/// single-CPU host, optimal) schedule. `exec` consumes the entry state
-/// of window `i` and returns its exit state plus the window's result.
-///
-/// This is the reference semantics [`speculative_chain`] must match
-/// bit-for-bit; it needs neither `Clone` nor a digest, so state types
-/// holding non-clonable resources can still be windowed.
+/// Runs the window chain serially. `exec` consumes the entry state of
+/// window `i` and returns its exit state plus the window's result.
 pub fn window_chain<S, R>(
     initial: S,
     windows: usize,
@@ -72,106 +27,13 @@ pub fn window_chain<S, R>(
     (state, results)
 }
 
-/// Runs the window chain with speculative lookahead on whatever spare
-/// worker permits the process-wide pool can lend, reconciling each
-/// speculative window against the committed frontier by entry-state
-/// digest. Committed results are byte-identical to [`window_chain`]
-/// for any permit count and any predictor.
-///
-/// `predict(&frontier_state, frontier, target)` guesses the *entry*
-/// state of window `target` given the entry state of window `frontier`
-/// (the window the committed chain is about to execute). `digest`
-/// fingerprints a state and must cover everything `exec`'s behaviour
-/// can depend on: two states with equal digests are treated as
-/// interchangeable, so use a collision-resistant hash over the full
-/// state.
-///
-/// A panic on the exact (committed) path propagates; a panic inside a
-/// *speculative* execution is treated as a misprediction — discarded
-/// and re-simulated from the true state — because a predicted entry
-/// state carries no validity guarantee.
-pub fn speculative_chain<S, R>(
-    initial: S,
-    windows: usize,
-    exec: impl Fn(S, usize) -> (S, R) + Sync,
-    predict: impl Fn(&S, usize, usize) -> S + Sync,
-    digest: impl Fn(&S) -> u64 + Sync,
-) -> (S, Vec<R>, ChainStats)
-where
-    S: Send,
-    R: Send,
-{
-    let mut stats = ChainStats::default();
-    let mut state = initial;
-    let mut results: Vec<R> = Vec::with_capacity(windows);
-    let mut i = 0usize;
-    while i < windows {
-        let permits = Permits::take((windows - 1 - i).min(MAX_LOOKAHEAD));
-        let lookahead = permits.0;
-        if lookahead == 0 {
-            // No spare workers: take the serial step.
-            let (next, r) = exec(state, i);
-            state = next;
-            results.push(r);
-            stats.committed += 1;
-            i += 1;
-            continue;
-        }
-        // Predict entry states for windows i+1..=i+lookahead off the
-        // committed frontier, then run window i exactly on this thread
-        // while spare workers execute the speculative windows.
-        let predictions: Vec<S> = (1..=lookahead).map(|j| predict(&state, i, i + j)).collect();
-        let entry_digests: Vec<u64> = predictions.iter().map(&digest).collect();
-        stats.speculated += lookahead;
-        let mut speculative: Vec<Option<(S, R)>> = Vec::new();
-        let mut exact: Option<(S, R)> = None;
-        std::thread::scope(|scope| {
-            let exec = &exec;
-            let handles: Vec<_> = predictions
-                .into_iter()
-                .enumerate()
-                .map(|(k, p)| scope.spawn(move || exec(p, i + 1 + k)))
-                .collect();
-            exact = Some(exec(state, i));
-            speculative = handles.into_iter().map(|h| h.join().ok()).collect();
-        });
-        drop(permits);
-        let (next, r) = exact.expect("exact window executed");
-        state = next;
-        results.push(r);
-        stats.committed += 1;
-        i += 1;
-        // Reconcile in chain order: adopt while each prediction's
-        // entry digest matches the state the chain actually reached.
-        // The first mismatch invalidates every later speculation too
-        // (they were predicted off the same wrong guess trajectory);
-        // those windows re-run exactly in later rounds.
-        let mut k = 0usize;
-        for spec in speculative {
-            match spec {
-                Some((exit, r)) if entry_digests[k] == digest(&state) => {
-                    state = exit;
-                    results.push(r);
-                    stats.adopted += 1;
-                    stats.committed += 1;
-                    i += 1;
-                    k += 1;
-                }
-                _ => break,
-            }
-        }
-        stats.replayed += lookahead - k;
-    }
-    (state, results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Synthetic window semantics: the state is a u64, window `i`
     /// mixes its index in with a splitmix-style bijection, and the
-    /// result exposes the entry state so adoption bugs are visible.
+    /// result exposes the entry state so ordering bugs are visible.
     fn mix(state: u64, i: usize) -> u64 {
         let mut z = state
             .wrapping_add(0x9E37_79B9_7F4A_7C15)
@@ -185,17 +47,6 @@ mod tests {
         (mix(state, i), state)
     }
 
-    /// The exact predictor: replay the recurrence from the frontier to
-    /// the target window (possible here because the synthetic exec is
-    /// cheap and pure; a simulator would use an approximate model).
-    fn exact_predict(frontier: &u64, from: usize, to: usize) -> u64 {
-        let mut s = *frontier;
-        for w in from..to {
-            s = mix(s, w);
-        }
-        s
-    }
-
     #[test]
     fn serial_chain_matches_hand_unroll() {
         let (end, results) = window_chain(7u64, 4, exec);
@@ -207,78 +58,5 @@ mod tests {
         }
         assert_eq!(results, want);
         assert_eq!(end, s);
-    }
-
-    /// Whatever the predictor does — exact, stale, or garbage — the
-    /// committed chain must equal the serial chain, at any permit
-    /// availability.
-    #[test]
-    fn speculation_never_changes_results() {
-        let serial = window_chain(99u64, 23, exec);
-        for (name, predict) in [
-            ("exact", exact_predict as fn(&u64, usize, usize) -> u64),
-            ("stale", |s: &u64, _f: usize, _t: usize| *s),
-            ("garbage", |_: &u64, _f: usize, t: usize| {
-                t as u64 ^ 0xDEAD_BEEF
-            }),
-        ] {
-            let (end, results, stats) = speculative_chain(99u64, 23, exec, predict, |s| *s);
-            assert_eq!((end, &results), (serial.0, &serial.1), "{name}");
-            assert_eq!(stats.committed, 23, "{name}");
-            assert_eq!(stats.adopted + stats.replayed, stats.speculated, "{name}");
-        }
-    }
-
-    /// Panicking speculation is a misprediction, not a failure: the
-    /// chain must still produce the serial result.
-    #[test]
-    fn speculative_panic_is_discarded() {
-        let serial = window_chain(5u64, 9, |s, i| {
-            let (next, r) = exec(s, i);
-            (next & !(1 << 63), r)
-        });
-        let (end, results, stats) = speculative_chain(
-            5u64,
-            9,
-            |s, i| {
-                // The predictor below poisons every guess with the high
-                // bit; exec masks it out of real exit states, so the
-                // assert fires on speculative executions only.
-                assert!(s & (1 << 63) == 0, "poisoned speculative state");
-                let (next, r) = exec(s, i);
-                (next & !(1 << 63), r)
-            },
-            |_: &u64, _f, t| (1u64 << 63) | t as u64,
-            |s| *s,
-        );
-        assert_eq!(results, serial.1);
-        assert_eq!(end, serial.0);
-        // Every speculation panicked, so none can have been adopted.
-        assert_eq!(stats.adopted, 0);
-        assert_eq!(stats.replayed, stats.speculated);
-    }
-
-    /// The exact predictor adopts every speculation; the adoption
-    /// assert is gated on speculation actually happening since the
-    /// process-wide permit pool is shared with every other test (a
-    /// concurrent test may hold all spare permits).
-    #[test]
-    fn exact_predictor_adopts_everything() {
-        let (_, _, stats) = speculative_chain(3u64, 40, exec, exact_predict, |s| *s);
-        if stats.speculated > 0 {
-            assert_eq!(stats.adopted, stats.speculated);
-            assert_eq!(stats.replayed, 0);
-        }
-        assert_eq!(stats.committed, 40);
-    }
-
-    /// A garbage predictor wastes every speculation.
-    #[test]
-    fn garbage_predictor_replays_everything() {
-        let (_, _, stats) =
-            speculative_chain(3u64, 40, exec, |_: &u64, _f, t| 0xBAD0 + t as u64, |s| *s);
-        assert_eq!(stats.adopted, 0);
-        assert_eq!(stats.replayed, stats.speculated);
-        assert_eq!(stats.committed, 40);
     }
 }

@@ -282,58 +282,6 @@ impl Cluster {
         }
     }
 
-    /// Deprecated spelling of the builder entry point.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run(&self, jobs: &[Job], policy: Policy, speedups: &SpeedupModel) -> Vec<JobOutcome> {
-        self.schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .run()
-    }
-
-    /// Deprecated spelling of the builder entry point with metrics.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).metrics(scope).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run_metered(
-        &self,
-        jobs: &[Job],
-        policy: Policy,
-        speedups: &SpeedupModel,
-        scope: &Scope,
-    ) -> Vec<JobOutcome> {
-        self.schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .metrics(scope)
-            .run()
-    }
-
-    /// Deprecated spelling of the builder entry point with tracing.
-    #[deprecated(
-        note = "use `cluster.schedule(SliceSource::new(jobs)).config(cfg).tracer(t).run()` \
-                (see README: migrating from run/run_metered/run_traced)"
-    )]
-    pub fn run_traced(
-        &self,
-        jobs: &[Job],
-        policy: Policy,
-        speedups: &SpeedupModel,
-        scope: Option<&Scope>,
-        tracer: &Tracer,
-    ) -> Vec<JobOutcome> {
-        let mut run = self
-            .schedule(SliceSource::new(jobs))
-            .config(SchedulerConfig::from_parts_unchecked(policy, *speedups))
-            .tracer(tracer);
-        if let Some(scope) = scope {
-            run = run.metrics(scope);
-        }
-        run.run()
-    }
-
     /// The event-driven core: pulls jobs from `source`, keeps
     /// completions in the ordered [`EventQueue`], and reports every
     /// started job to `sink` (outcome, min group, backfilled). Returns
@@ -989,30 +937,6 @@ mod tests {
             assert!(o.start_s >= j.submit_s);
             assert!(o.exec_s <= j.duration_s + 1e-9);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let c = Cluster::new(64, [0.62, 0.36, 0.02]);
-        let trace = crate::trace::GrizzlyTrace::scaled(400, 64).generate(11);
-        let speedups = SpeedupModel::hetero_dmr_default();
-        assert_eq!(
-            c.run(&trace, Policy::MarginAware, &speedups),
-            run(&c, &trace, aware())
-        );
-        let registry = telemetry::Registry::new();
-        let metered = c.run_metered(
-            &trace,
-            Policy::MarginAware,
-            &speedups,
-            &registry.scope("old"),
-        );
-        assert_eq!(metered, run(&c, &trace, aware()));
-        let tracer = Tracer::new();
-        let traced = c.run_traced(&trace, Policy::MarginAware, &speedups, None, &tracer);
-        assert_eq!(traced, run(&c, &trace, aware()));
-        assert!(!tracer.take().is_empty());
     }
 
     #[test]

@@ -147,8 +147,11 @@ impl SchedulerConfig {
         self.traced_job_cap
     }
 
-    /// Compatibility escape hatch for the deprecated `Cluster::run*`
-    /// wrappers, which historically accepted any table unchecked.
+    /// Builds a config from parts without validating the speedup
+    /// table, for [`crate::cluster::run_variants`], whose [`Variant`]s
+    /// carry a policy and table rather than a built config.
+    ///
+    /// [`Variant`]: crate::cluster::Variant
     pub(crate) fn from_parts_unchecked(policy: Policy, speedups: SpeedupModel) -> SchedulerConfig {
         SchedulerConfig {
             policy,
