@@ -101,6 +101,12 @@ grep -q "## Power/energy" "$DET_DIR/energy/report.md"
 grep -Eq '^[0-9]+ comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/energy/report.md"
 "$EXP" configurator --quick > "$DET_DIR/configurator.out"
 grep -q "meet all requirements" "$DET_DIR/configurator.out"
+# Fig 13's EPI must stay drift-clean against results/fig13.csv. It runs
+# at the default --quick size: the 'all' run above uses too few ops for
+# the reference tolerances.
+"$EXP" fig13 --quick --metrics "$DET_DIR/fig13" > /dev/null
+"$EXP" report "$DET_DIR/fig13" --out "$DET_DIR/fig13/report.md"
+grep -Eq '^[1-9][0-9]* comparison\(s\), 0 breach\(es\)\.$' "$DET_DIR/fig13/report.md"
 
 echo "== fleet federation smoke =="
 # The federated sweep must report both placement policies on a reduced

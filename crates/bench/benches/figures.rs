@@ -3,7 +3,7 @@
 //! harness stays runnable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use energy::EnergyModel;
+use energy::{CpuPowerParams, ResidencyModel};
 use hdmr_bench::{bench_model, one_cell};
 use hetero_dmr::emulation::EmulationInputs;
 use hetero_dmr::monte_carlo::MonteCarlo;
@@ -126,11 +126,11 @@ fn fig13_energy(c: &mut Criterion) {
     // Populate the run cache once, then measure the energy model.
     let _ = model.run(MemoryDesign::CommercialBaseline, Suite::Npb);
     c.bench_function("fig13_energy_per_instruction", |b| {
-        let em = EnergyModel::default();
+        let (dram, cpu) = (ResidencyModel::ddr4_3200(), CpuPowerParams::default());
         b.iter(|| {
             black_box(
                 model
-                    .energy(MemoryDesign::CommercialBaseline, Suite::Npb, &em)
+                    .energy(MemoryDesign::CommercialBaseline, Suite::Npb, &dram, &cpu)
                     .epi_nj(),
             )
         })

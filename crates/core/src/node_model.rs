@@ -18,8 +18,7 @@
 
 use crate::designs::MemoryDesign;
 use crate::monte_carlo::MarginGroups;
-use dram::power::ActivityCounters;
-use energy::{EnergyBreakdown, EnergyModel};
+use energy::{CpuPowerParams, ResidencyModel, RunEnergy};
 use memsim::config::HierarchyConfig;
 use memsim::{NodeSim, SimResult};
 use std::cell::RefCell;
@@ -580,20 +579,19 @@ impl NodeModel {
             + groups.at_0
     }
 
-    /// Energy of a run for Figure 13. The self-refresh residency of
-    /// the original-holding modules under Hetero-DMR comes from the
-    /// simulator's bank-state residency tap (via
-    /// [`SimResult::activity`]), not a fixed fraction.
+    /// Energy of a run (Figure 13's EPI): `dram` charged over the
+    /// simulator's bank-state residency tap, so the self-refresh time
+    /// of Hetero-DMR's original-holding modules and the open-row time
+    /// of every design are measured, not assumed.
     pub fn energy(
         &self,
         design: MemoryDesign,
         suite: Suite,
-        model: &EnergyModel,
-    ) -> EnergyBreakdown {
-        let result = self.run(design, suite);
-        let activity: ActivityCounters = result.activity();
-        let modules = self.hierarchy.memory.channels * self.hierarchy.memory.modules_per_channel;
-        model.energy(&activity, modules, result.instructions)
+        dram: &ResidencyModel,
+        cpu: &CpuPowerParams,
+    ) -> RunEnergy {
+        let banks_per_rank = self.hierarchy.memory.banks_per_rank as u32;
+        RunEnergy::of_run(&self.run(design, suite), dram, cpu, banks_per_rank)
     }
 }
 
@@ -888,12 +886,13 @@ mod tests {
     #[test]
     fn energy_improves_under_hetero_dmr() {
         let m = model(HierarchyConfig::hierarchy1());
-        let em = EnergyModel::default();
-        let base = m.energy(MemoryDesign::CommercialBaseline, Suite::Hpcg, &em);
+        let (dram, cpu) = (ResidencyModel::ddr4_3200(), CpuPowerParams::default());
+        let base = m.energy(MemoryDesign::CommercialBaseline, Suite::Hpcg, &dram, &cpu);
         let hdmr = m.energy(
             MemoryDesign::HeteroDmr { margin_mts: 800 },
             Suite::Hpcg,
-            &em,
+            &dram,
+            &cpu,
         );
         assert!(
             hdmr.epi_nj() < base.epi_nj(),

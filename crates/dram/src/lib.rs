@@ -7,8 +7,7 @@
 //! * [`timing`] — JEDEC-style timing parameter sets, including the four
 //!   memory settings of Table II of the paper,
 //! * [`organization`] — physical module organization (chips/rank, ranks,
-//!   density, ECC chips),
-//! * [`power`] — activity counters consumed by the `energy` crate.
+//!   density, ECC chips).
 //!
 //! Command-level timing is modelled by `memsim`'s controller; the
 //! Hetero-DMR protocol engine in `hetero_dmr::protocol` keeps only the
@@ -31,12 +30,10 @@
 //! ```
 
 pub mod organization;
-pub mod power;
 pub mod rate;
 pub mod timing;
 
 pub use organization::ModuleOrganization;
-pub use power::ActivityCounters;
 pub use rate::DataRate;
 pub use timing::{MemorySetting, TimingParams};
 

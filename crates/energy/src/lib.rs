@@ -1,29 +1,22 @@
-//! System-level (CPU + DRAM) power and energy models.
+//! System-level (CPU + DRAM) power and energy model.
 //!
-//! Two DRAM models live here:
-//!
-//! * [`simple`] — the original per-operation approximation (flat
-//!   background power + per-op constants), kept as the cheap model
-//!   behind Figure 13's EPI metric and as the referee in the
-//!   model-divergence differential test;
-//! * [`residency`] — a DRAMPower-style state-residency engine that
-//!   integrates per-bank time-in-state (active, precharged,
-//!   refreshing, self-refresh) from the memsim residency tap and adds
-//!   command-edge energies, calibrated from IDD/IPP datasheet currents
-//!   by [`calibrate`].
-//!
-//! The crate-root re-exports keep the original `energy::EnergyModel`
-//! API intact for existing users.
+//! DRAM energy comes from one DRAMPower-style state-residency engine,
+//! [`residency`]: it integrates per-bank time-in-state (active,
+//! precharged, refreshing, self-refresh) from the memsim residency tap
+//! and adds command-edge energies, calibrated from IDD/IPP datasheet
+//! currents by [`calibrate`]. [`RunEnergy::of_run`] charges a
+//! simulated run for that DRAM energy plus the CPU's, which gives
+//! Figure 13's energy per instruction and the `energy` and
+//! `configurator` targets' perf/W.
 
 pub mod calibrate;
 pub mod residency;
-pub mod simple;
 
 pub use calibrate::DatasheetCurrents;
 pub use residency::{
-    EdgeEnergies, ResidencyBreakdown, ResidencyInput, ResidencyModel, StatePowers,
+    CpuPowerParams, EdgeEnergies, ResidencyBreakdown, ResidencyInput, ResidencyModel, RunEnergy,
+    StatePowers,
 };
-pub use simple::{CpuPowerParams, DramEnergyParams, EnergyBreakdown, EnergyModel};
 
 use dram::{Picos, PS_PER_S};
 

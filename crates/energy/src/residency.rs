@@ -1,8 +1,8 @@
 //! DRAMPower-style state-residency energy engine.
 //!
-//! Instead of charging a flat background power plus per-op constants
-//! (the [`crate::simple`] model), this engine integrates the power of
-//! each bank *state* over the time the simulator actually spent there:
+//! Instead of charging a flat background power plus per-op constants,
+//! this engine integrates the power of each bank *state* over the time
+//! the simulator actually spent there:
 //!
 //! ```text
 //! E = Σ_state P_state × t_state  +  Σ_edge N_edge × E_edge
@@ -17,11 +17,16 @@
 //! Everything is normalized per *rank*: standby currents are drawn by
 //! every device in a rank regardless of which bank is open, so
 //! bank·seconds divide by banks-per-rank to give rank·seconds.
+//!
+//! [`RunEnergy::of_run`] is the one conversion from a simulated run to
+//! node energy: the DRAM breakdown above plus [`CpuPowerParams`]' CPU
+//! energy over the run's wall time.
 
 use crate::calibrate::DatasheetCurrents;
 use crate::ps_to_s;
 use dram::timing::TimingParams;
 use dram::Picos;
+use memsim::SimResult;
 
 /// Power drawn by one rank in each stable state, watts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,7 +173,7 @@ pub struct ResidencyInput {
 
 /// DRAM energy of one run, itemized by mechanism. `total_j` is the sum
 /// of the four components by construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResidencyBreakdown {
     /// State-residency (standby + self-refresh) energy, joules.
     pub background_j: f64,
@@ -187,10 +192,135 @@ impl ResidencyBreakdown {
     }
 }
 
+/// CPU power parameters for one node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CpuPowerParams {
+    /// Static + idle power, watts (dominant, per the paper).
+    pub static_w: f64,
+    /// Dynamic power at peak retirement rate, watts.
+    pub peak_dynamic_w: f64,
+    /// Peak retirement rate used to scale dynamic power,
+    /// instructions per second.
+    pub peak_ips: f64,
+}
+
+impl Default for CpuPowerParams {
+    fn default() -> CpuPowerParams {
+        CpuPowerParams {
+            static_w: 120.0,
+            peak_dynamic_w: 90.0,
+            peak_ips: 8.0 * 4.0 * 3.1e9, // 8 cores × 4-wide × 3.1 GHz
+        }
+    }
+}
+
+impl CpuPowerParams {
+    /// CPU energy of a run: static power over the wall time plus
+    /// dynamic power scaled by achieved retirement rate.
+    pub fn energy_j(&self, secs: f64, instructions: u64) -> f64 {
+        let dynamic = if secs > 0.0 {
+            let ips = instructions as f64 / secs;
+            self.peak_dynamic_w * (ips / self.peak_ips).min(1.0)
+        } else {
+            0.0
+        };
+        (self.static_w + dynamic) * secs
+    }
+}
+
+/// CPU + DRAM energy of one run, or of several runs summed with
+/// [`RunEnergy::add`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunEnergy {
+    /// DRAM energy by mechanism.
+    pub dram: ResidencyBreakdown,
+    /// CPU static + dynamic energy, joules.
+    pub cpu_j: f64,
+    /// Instructions retired.
+    pub instructions: u64,
+    /// Wall time, seconds.
+    pub secs: f64,
+}
+
+impl RunEnergy {
+    /// Charges a simulated run: `dram` over its bank-state residency
+    /// tap and command counts, `cpu` over its wall time.
+    /// `banks_per_rank` is the node's DRAM geometry
+    /// (`MemoryConfig::banks_per_rank`).
+    pub fn of_run(
+        result: &SimResult,
+        dram: &ResidencyModel,
+        cpu: &CpuPowerParams,
+        banks_per_rank: u32,
+    ) -> RunEnergy {
+        let secs = ps_to_s(result.exec_time_ps);
+        let c = &result.controller;
+        RunEnergy {
+            dram: dram.energy(&ResidencyInput {
+                active_bank_ps: result.residency.active_bank_ps,
+                precharged_bank_ps: result.residency.precharged_bank_ps(),
+                refresh_bank_ps: result.residency.refresh_bank_ps,
+                self_refresh_bank_ps: result.residency.self_refresh_bank_ps,
+                banks_per_rank,
+                activates: c.activates,
+                reads: c.reads,
+                writes: c.writes,
+                broadcast_extra_cells: c.broadcast_extra_cells,
+                refreshes: c.refreshes,
+            }),
+            cpu_j: cpu.energy_j(secs, result.instructions),
+            instructions: result.instructions,
+            secs,
+        }
+    }
+
+    /// Accumulates another run into this one, field by field.
+    pub fn add(&mut self, other: &RunEnergy) {
+        self.dram.background_j += other.dram.background_j;
+        self.dram.activate_j += other.dram.activate_j;
+        self.dram.burst_j += other.dram.burst_j;
+        self.dram.refresh_j += other.dram.refresh_j;
+        self.cpu_j += other.cpu_j;
+        self.instructions += other.instructions;
+        self.secs += other.secs;
+    }
+
+    /// Total CPU + DRAM energy, joules.
+    pub fn total_j(&self) -> f64 {
+        self.dram.total_j() + self.cpu_j
+    }
+
+    /// `joules` spread over the retired instructions, nanojoules (0
+    /// for a run that retired none).
+    pub fn nj_per_instruction(&self, joules: f64) -> f64 {
+        if self.instructions == 0 {
+            0.0
+        } else {
+            joules / self.instructions as f64 * 1e9
+        }
+    }
+
+    /// Energy per instruction, nanojoules (Figure 13's metric).
+    pub fn epi_nj(&self) -> f64 {
+        self.nj_per_instruction(self.total_j())
+    }
+
+    /// DRAM share of total energy.
+    pub fn dram_share(&self) -> f64 {
+        let total = self.total_j();
+        if total == 0.0 {
+            0.0
+        } else {
+            self.dram.total_j() / total
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram::PS_PER_S;
+    use dram::{PS_PER_MS, PS_PER_S};
+    use memsim::controller::{ControllerStats, ResidencyStats};
 
     fn idle_second(banks: u64) -> ResidencyInput {
         ResidencyInput {
@@ -274,6 +404,135 @@ mod tests {
             assert!(m.edges.act_pre_nj > 0.0);
             assert!(m.edges.read_nj > 0.0 && m.edges.write_nj > 0.0);
             assert!(m.edges.refresh_nj > m.edges.act_pre_nj);
+        }
+    }
+
+    /// `time_ms` of a four-module dual-rank DDR4-3200 node (128
+    /// banks) retiring four billion instructions: one ACT per four
+    /// bursts, a quarter of bank-time holding a row open, and each
+    /// rank refreshing every 7.8 us.
+    fn run(time_ms: u64, reads: u64, writes: u64) -> SimResult {
+        let ranks = 8;
+        let banks = ranks * 16;
+        let time = time_ms * PS_PER_MS;
+        let refreshes = ranks * time_ms * 128;
+        SimResult {
+            instructions: 4_000_000_000,
+            exec_time_ps: time,
+            slowest_core_ps: time,
+            controller: ControllerStats {
+                activates: (reads + writes) / 4,
+                reads,
+                writes,
+                refreshes,
+                ..ControllerStats::default()
+            },
+            residency: ResidencyStats {
+                active_bank_ps: banks * time / 4,
+                refresh_bank_ps: refreshes * 16 * TimingParams::ddr4_3200_spec().t_rfc_ps(),
+                banks,
+                end_ps: time,
+                ..ResidencyStats::default()
+            },
+            ..SimResult::default()
+        }
+    }
+
+    fn charge(result: &SimResult) -> RunEnergy {
+        RunEnergy::of_run(
+            result,
+            &ResidencyModel::ddr4_3200(),
+            &CpuPowerParams::default(),
+            16,
+        )
+    }
+
+    #[test]
+    fn faster_run_has_lower_epi() {
+        let slow = charge(&run(1_000, 50_000_000, 8_000_000));
+        let fast = charge(&run(820, 50_000_000, 8_000_000));
+        assert!(fast.epi_nj() < slow.epi_nj());
+        // ~18% faster with static-dominated power → EPI gain of a few
+        // to ~15 percent, bracketing the paper's 6%.
+        let gain = 1.0 - fast.epi_nj() / slow.epi_nj();
+        assert!(gain > 0.02 && gain < 0.2, "gain {gain}");
+    }
+
+    #[test]
+    fn doubled_writes_cost_little() {
+        let base = charge(&run(1_000, 50_000_000, 8_000_000));
+        let mut dup = run(1_000, 50_000_000, 8_000_000);
+        dup.controller.broadcast_extra_cells = 8_000_000; // every write duplicated
+        let dup = charge(&dup);
+        let overhead = dup.total_j() / base.total_j() - 1.0;
+        assert!(overhead > 0.0);
+        assert!(overhead < 0.02, "write duplication overhead {overhead}");
+    }
+
+    #[test]
+    fn dram_share_is_minority() {
+        let share = charge(&run(1_000, 50_000_000, 8_000_000)).dram_share();
+        assert!(share > 0.02 && share < 0.35, "dram share {share}");
+    }
+
+    #[test]
+    fn per_chip_power_matches_the_papers_order_of_magnitude() {
+        // Section II-A justifies ignoring thermal risk because DRAM
+        // devices draw ~0.3 W/chip at full utilization. One dual-rank
+        // module saturated with reads (25.6 GB/s = 400M bursts/s) for
+        // one second, rows open throughout, across its 18 devices.
+        let refreshes = 2 * 128_000; // every 7.8 us, per rank
+        let one_second = SimResult {
+            instructions: 1,
+            exec_time_ps: PS_PER_S,
+            controller: ControllerStats {
+                activates: 12_500_000, // a row per 32 bursts
+                reads: 400_000_000,
+                refreshes,
+                ..ControllerStats::default()
+            },
+            residency: ResidencyStats {
+                active_bank_ps: 32 * PS_PER_S,
+                banks: 32,
+                end_ps: PS_PER_S,
+                ..ResidencyStats::default()
+            },
+            ..SimResult::default()
+        };
+        let module_watts = charge(&one_second).dram.total_j(); // J over 1 s
+        let per_chip = module_watts / 18.0;
+        assert!(
+            (0.05..0.5).contains(&per_chip),
+            "per-chip power {per_chip} W out of the paper's regime"
+        );
+    }
+
+    #[test]
+    fn zero_instruction_run_is_safe() {
+        let b = charge(&SimResult::default());
+        assert_eq!(b.epi_nj(), 0.0);
+        assert_eq!(b.total_j(), 0.0);
+        assert_eq!(b.dram_share(), 0.0);
+    }
+
+    #[test]
+    fn burst_energy_is_monotone_decreasing_in_data_rate() {
+        // Within a device family, the burst current delta is fixed, so
+        // a faster interface (shorter burst) costs less energy per
+        // 64-byte transfer; the MRDIMM continues the trend at 8800.
+        let families = [
+            vec![ResidencyModel::ddr4_2400(), ResidencyModel::ddr4_3200()],
+            vec![
+                ResidencyModel::ddr5_4800(),
+                ResidencyModel::ddr5_6400(),
+                ResidencyModel::mrdimm_8800(),
+            ],
+        ];
+        for chain in &families {
+            for pair in chain.windows(2) {
+                assert!(pair[1].edges.read_nj < pair[0].edges.read_nj);
+                assert!(pair[1].edges.write_nj < pair[0].edges.write_nj);
+            }
         }
     }
 }

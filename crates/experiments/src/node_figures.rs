@@ -2,7 +2,7 @@
 //! `hetero_dmr::NodeModel` evaluation engine.
 
 use crate::context::{say, sayp, Ctx};
-use energy::EnergyModel;
+use energy::{CpuPowerParams, ResidencyModel};
 use hetero_dmr::emulation::EmulationInputs;
 use hetero_dmr::monte_carlo::MonteCarlo;
 use hetero_dmr::{EvalConfig, MemoryDesign, NodeModel, UsageBucket};
@@ -238,7 +238,8 @@ pub fn fig12(ctx: &mut Ctx) {
 
 /// Figure 13: system-level energy per instruction, normalized.
 pub fn fig13(ctx: &mut Ctx) {
-    let em = EnergyModel::default();
+    // Both hierarchies are DDR4-3200 nodes.
+    let (dram, cpu) = (ResidencyModel::ddr4_3200(), CpuPowerParams::default());
     let mut rows = vec![vec![
         "hierarchy".into(),
         "design".into(),
@@ -258,20 +259,17 @@ pub fn fig13(ctx: &mut Ctx) {
         ] {
             let mut epi_ratio = 0.0;
             for suite in Suite::ALL {
-                let base = m.energy(MemoryDesign::CommercialBaseline, suite, &em);
-                let d = m.energy(design, suite, &em);
+                let base = m.energy(MemoryDesign::CommercialBaseline, suite, &dram, &cpu);
+                let d = m.energy(design, suite, &dram, &cpu);
                 epi_ratio += d.epi_nj() / base.epi_nj();
             }
             epi_ratio /= Suite::ALL.len() as f64;
-            if h.name == "Hierarchy1" && matches!(design, MemoryDesign::HeteroDmr { .. }) {
+            let hdmr = matches!(design, MemoryDesign::HeteroDmr { .. });
+            if h.name == "Hierarchy1" && hdmr {
                 ctx.summary("fig13.h1.hdmr800.epi", epi_ratio);
             }
-            say!(
-                ctx,
-                "  {:<24} {:>6.3} (paper: Hetero-DMR ~0.94)",
-                design.name(),
-                epi_ratio
-            );
+            let paper = if hdmr { " (paper: ~0.94)" } else { "" };
+            say!(ctx, "  {:<24} {:>6.3}{paper}", design.name(), epi_ratio);
             rows.push(vec![
                 h.name.into(),
                 design.name(),

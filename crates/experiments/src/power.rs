@@ -2,16 +2,16 @@
 //! (per-design EPI decomposition plus a DRAM-generation sweep) and the
 //! `configurator` fleet sizing tool.
 //!
-//! Both targets consume the memsim bank-state residency tap through
-//! the calibrated [`ResidencyModel`]: DRAM energy is integrated from
-//! time-in-state (active / precharged / refreshing / self-refresh)
-//! plus per-command edge energies, not from flat per-op constants.
+//! Both targets charge each run with [`RunEnergy::of_run`]: DRAM energy
+//! is integrated from the memsim bank-state residency tap
+//! (active / precharged / refreshing / self-refresh) plus per-command
+//! edge energies of the calibrated [`ResidencyModel`].
 
 use crate::context::{say, Ctx};
 use crate::node_figures::model;
 use dram::organization::ModuleOrganization;
 use dram::timing::TimingParams;
-use energy::{CpuPowerParams, ResidencyBreakdown, ResidencyInput, ResidencyModel};
+use energy::{CpuPowerParams, ResidencyModel, RunEnergy};
 use hetero_dmr::MemoryDesign;
 use memsim::config::{ChannelMode, HierarchyConfig};
 use memsim::{NodeSim, SimResult};
@@ -89,26 +89,9 @@ fn hierarchy_for(gen: &Generation) -> HierarchyConfig {
     }
 }
 
-/// Converts a run's residency tap and command counts into the
-/// residency model's input.
-fn residency_input(result: &SimResult, banks_per_rank: u32) -> ResidencyInput {
-    ResidencyInput {
-        active_bank_ps: result.residency.active_bank_ps,
-        precharged_bank_ps: result.residency.precharged_bank_ps(),
-        refresh_bank_ps: result.residency.refresh_bank_ps,
-        self_refresh_bank_ps: result.residency.self_refresh_bank_ps,
-        banks_per_rank,
-        activates: result.controller.activates,
-        reads: result.controller.reads,
-        writes: result.controller.writes,
-        broadcast_extra_cells: result.controller.broadcast_extra_cells,
-        refreshes: result.controller.refreshes,
-    }
-}
-
 /// Simulates `suite` on `gen`'s node at specification timing and
-/// returns the run plus its residency-model energy.
-fn run_generation(ctx: &Ctx, gen: &Generation, suite: Suite) -> (SimResult, ResidencyBreakdown) {
+/// returns the run plus its energy.
+fn run_generation(ctx: &Ctx, gen: &Generation, suite: Suite) -> (SimResult, RunEnergy) {
     let h = hierarchy_for(gen);
     let mode = ChannelMode::builder()
         .timings(gen.timing)
@@ -134,66 +117,19 @@ fn run_generation(ctx: &Ctx, gen: &Generation, suite: Suite) -> (SimResult, Resi
         node.prewarm_core(i, stream.warmup_blocks(warm, suite.params().write_fraction));
     }
     let result = node.run(streams);
-    let input = residency_input(&result, h.memory.banks_per_rank as u32);
-    let breakdown = gen.model.energy(&input);
-    (result, breakdown)
+    let cpu = CpuPowerParams::default();
+    let energy = RunEnergy::of_run(&result, &gen.model, &cpu, h.memory.banks_per_rank as u32);
+    (result, energy)
 }
 
-/// Per-design (or per-generation) energy totals accumulated across
-/// suites.
-#[derive(Debug, Clone, Copy, Default)]
-struct EnergyTotals {
-    background_j: f64,
-    activate_j: f64,
-    burst_j: f64,
-    refresh_j: f64,
-    cpu_j: f64,
-    instructions: u64,
-    secs: f64,
-}
-
-impl EnergyTotals {
-    fn add(&mut self, b: &ResidencyBreakdown, cpu: &CpuPowerParams, result: &SimResult) {
-        // The four components must reconstruct the model's total: the
-        // decomposition is the deliverable, so any drift is a bug.
-        let sum = b.background_j + b.activate_j + b.burst_j + b.refresh_j;
-        assert!(
-            (b.total_j() - sum).abs() < 1e-9,
-            "EPI components diverge from total: {} vs {sum}",
-            b.total_j()
-        );
-        let secs = energy::ps_to_s(result.exec_time_ps);
-        self.background_j += b.background_j;
-        self.activate_j += b.activate_j;
-        self.burst_j += b.burst_j;
-        self.refresh_j += b.refresh_j;
-        self.cpu_j += cpu.energy_j(secs, result.instructions);
-        self.instructions += result.instructions;
-        self.secs += secs;
-    }
-
-    fn dram_j(&self) -> f64 {
-        self.background_j + self.activate_j + self.burst_j + self.refresh_j
-    }
-
-    /// Energy-per-instruction of one component, nanojoules.
-    fn epi_nj(&self, component_j: f64) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            component_j / self.instructions as f64 * 1e9
-        }
-    }
-
-    /// Instructions per second per watt (CPU + DRAM), the perf/W
-    /// figure of merit.
-    fn perf_per_watt(&self) -> f64 {
-        let watts = (self.dram_j() + self.cpu_j) / self.secs.max(f64::MIN_POSITIVE);
-        if watts <= 0.0 || self.secs <= 0.0 {
-            0.0
-        } else {
-            (self.instructions as f64 / self.secs) / watts
-        }
+/// Instructions per second per watt (CPU + DRAM), the perf/W figure
+/// of merit.
+fn perf_per_watt(t: &RunEnergy) -> f64 {
+    let watts = t.total_j() / t.secs.max(f64::MIN_POSITIVE);
+    if watts <= 0.0 || t.secs <= 0.0 {
+        0.0
+    } else {
+        (t.instructions as f64 / t.secs) / watts
     }
 }
 
@@ -249,52 +185,47 @@ fn per_design(ctx: &mut Ctx) {
     ]];
     let mut baseline_ppw = 0.0;
     for design in designs {
-        let mut t = EnergyTotals::default();
+        let mut t = RunEnergy::default();
         for suite in Suite::ALL {
-            let result = m.run(design, suite);
-            let input = residency_input(&result, h.memory.banks_per_rank as u32);
-            t.add(&rm.energy(&input), &cpu, &result);
+            t.add(&m.energy(design, suite, &rm, &cpu));
         }
-        let ppw = t.perf_per_watt();
+        let ppw = perf_per_watt(&t);
         if design == MemoryDesign::CommercialBaseline {
             baseline_ppw = ppw;
         }
         let rel = ppw / baseline_ppw;
+        let d = &t.dram;
+        let [bg, act, burst, refresh, dram_epi, cpu_epi] = [
+            d.background_j,
+            d.activate_j,
+            d.burst_j,
+            d.refresh_j,
+            d.total_j(),
+            t.cpu_j,
+        ]
+        .map(|j| t.nj_per_instruction(j));
         say!(
             ctx,
-            "{:<26} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9.2} {:>8.2} {:>7.3}x",
+            "{:<26} {bg:>8.2} {act:>8.2} {burst:>8.2} {refresh:>8.2} {dram_epi:>9.2} {cpu_epi:>8.2} {rel:>7.3}x",
             design.name(),
-            t.epi_nj(t.background_j),
-            t.epi_nj(t.activate_j),
-            t.epi_nj(t.burst_j),
-            t.epi_nj(t.refresh_j),
-            t.epi_nj(t.dram_j()),
-            t.epi_nj(t.cpu_j),
-            rel
         );
         let ds = slug(&design.name());
-        ctx.summary(&format!("energy.{ds}.dram_epi_nj"), t.epi_nj(t.dram_j()));
+        ctx.summary(&format!("energy.{ds}.dram_epi_nj"), dram_epi);
         ctx.summary(&format!("energy.{ds}.perf_per_w_rel"), rel);
         if let Some(scope) = ctx.metrics_scope(&format!("design.{ds}")) {
-            scope
-                .gauge("background_epi_nj")
-                .set_scaled(t.epi_nj(t.background_j));
-            scope
-                .gauge("activate_epi_nj")
-                .set_scaled(t.epi_nj(t.activate_j));
-            scope.gauge("burst_epi_nj").set_scaled(t.epi_nj(t.burst_j));
-            scope
-                .gauge("refresh_epi_nj")
-                .set_scaled(t.epi_nj(t.refresh_j));
+            scope.gauge("background_epi_nj").set_scaled(bg);
+            scope.gauge("activate_epi_nj").set_scaled(act);
+            scope.gauge("burst_epi_nj").set_scaled(burst);
+            scope.gauge("refresh_epi_nj").set_scaled(refresh);
         }
         rows.push(vec![
             design.name(),
-            format!("{:.4}", t.epi_nj(t.background_j)),
-            format!("{:.4}", t.epi_nj(t.activate_j)),
-            format!("{:.4}", t.epi_nj(t.burst_j)),
-            format!("{:.4}", t.epi_nj(t.refresh_j)),
-            format!("{:.4}", t.epi_nj(t.dram_j())),
-            format!("{:.4}", t.epi_nj(t.cpu_j)),
+            format!("{bg:.4}"),
+            format!("{act:.4}"),
+            format!("{burst:.4}"),
+            format!("{refresh:.4}"),
+            format!("{dram_epi:.4}"),
+            format!("{cpu_epi:.4}"),
             format!("{rel:.4}"),
         ]);
     }
@@ -334,53 +265,47 @@ fn generation_sweep(ctx: &mut Ctx) {
         "dram_w".into(),
         "perf_per_w_rel".into(),
     ]];
-    let cpu = CpuPowerParams::default();
     let mut measured = Vec::new();
     for gen in &generations() {
-        let mut t = EnergyTotals::default();
+        let mut t = RunEnergy::default();
         for suite in Suite::ALL {
-            let (result, breakdown) = run_generation(ctx, gen, suite);
-            t.add(&breakdown, &cpu, &result);
+            t.add(&run_generation(ctx, gen, suite).1);
         }
         measured.push((gen.label, gen.timing.data_rate.mts(), t));
     }
     let base = &measured[1].2; // DDR4-3200
     let base_ips = base.instructions as f64 / base.secs;
-    let base_ppw = base.perf_per_watt();
+    let base_ppw = perf_per_watt(base);
     for (label, mts, t) in &measured {
         let perf_rel = (t.instructions as f64 / t.secs) / base_ips;
-        let ppw_rel = t.perf_per_watt() / base_ppw;
-        let dram_w = t.dram_j() / t.secs;
+        let ppw_rel = perf_per_watt(t) / base_ppw;
+        let dram_w = t.dram.total_j() / t.secs;
+        let d = &t.dram;
+        let [bg, act, burst, refresh, dram_epi] = [
+            d.background_j,
+            d.activate_j,
+            d.burst_j,
+            d.refresh_j,
+            d.total_j(),
+        ]
+        .map(|j| t.nj_per_instruction(j));
         say!(
             ctx,
-            "{:<12} {:>6} {:>6.3}x {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9.2} {:>8.2} {:>7.3}x",
-            label,
-            mts,
-            perf_rel,
-            t.epi_nj(t.background_j),
-            t.epi_nj(t.activate_j),
-            t.epi_nj(t.burst_j),
-            t.epi_nj(t.refresh_j),
-            t.epi_nj(t.dram_j()),
-            dram_w,
-            ppw_rel
+            "{label:<12} {mts:>6} {perf_rel:>6.3}x {bg:>8.2} {act:>8.2} {burst:>8.2} {refresh:>8.2} {dram_epi:>9.2} {dram_w:>8.2} {ppw_rel:>7.3}x",
         );
         let gs = slug(label);
         ctx.summary(&format!("energy.sweep.{gs}.perf_rel"), perf_rel);
-        ctx.summary(
-            &format!("energy.sweep.{gs}.dram_epi_nj"),
-            t.epi_nj(t.dram_j()),
-        );
+        ctx.summary(&format!("energy.sweep.{gs}.dram_epi_nj"), dram_epi);
         ctx.summary(&format!("energy.sweep.{gs}.perf_per_w_rel"), ppw_rel);
         rows.push(vec![
             (*label).into(),
             format!("{mts}"),
             format!("{perf_rel:.4}"),
-            format!("{:.4}", t.epi_nj(t.background_j)),
-            format!("{:.4}", t.epi_nj(t.activate_j)),
-            format!("{:.4}", t.epi_nj(t.burst_j)),
-            format!("{:.4}", t.epi_nj(t.refresh_j)),
-            format!("{:.4}", t.epi_nj(t.dram_j())),
+            format!("{bg:.4}"),
+            format!("{act:.4}"),
+            format!("{burst:.4}"),
+            format!("{refresh:.4}"),
+            format!("{dram_epi:.4}"),
             format!("{dram_w:.4}"),
             format!("{ppw_rel:.4}"),
         ]);
@@ -447,11 +372,10 @@ pub fn configurator(ctx: &mut Ctx) {
     );
     let mut configs = Vec::new();
     for gen in &generations() {
-        let (result, breakdown) = run_generation(ctx, gen, req.workload);
+        let (result, energy) = run_generation(ctx, gen, req.workload);
         let h = hierarchy_for(gen);
-        let secs = energy::ps_to_s(result.exec_time_ps);
         let sim_modules = (h.memory.channels * h.memory.modules_per_channel) as f64;
-        let power_per_dimm_w = breakdown.total_j() / secs / sim_modules;
+        let power_per_dimm_w = energy.dram.total_j() / energy.secs / sim_modules;
         let slots = CHANNELS_PER_SERVER * h.memory.modules_per_channel as u32;
         let module_gb = gen.organization.capacity_gb();
         let dimms_per_server = req.total_capacity_gb.div_ceil(module_gb).max(1);

@@ -23,7 +23,8 @@
 //!   LANL memory-utilization model,
 //! * [`scheduler`] — the Grizzly-scale cluster simulator with the
 //!   margin-aware job scheduler,
-//! * [`energy`] — the CPU+DRAM energy-per-instruction model,
+//! * [`energy`] — the CPU+DRAM energy model (state-residency DRAM
+//!   power over the simulator's bank time-in-state),
 //! * [`runner`] — the deterministic parallel experiment engine
 //!   (counter-based RNG streams, fixed-size worker pool, per-task
 //!   panic isolation),

@@ -163,11 +163,17 @@ fn utilization_weights_are_the_figure1_fractions() {
 #[test]
 fn energy_story_holds_end_to_end() {
     let m = small_model();
-    let em = energy::EnergyModel::default();
+    let dram = energy::ResidencyModel::ddr4_3200();
+    let cpu = energy::CpuPowerParams::default();
     let mut better = 0;
     for suite in [Suite::Hpcg, Suite::Linpack, Suite::Npb] {
-        let base = m.energy(MemoryDesign::CommercialBaseline, suite, &em);
-        let hdmr = m.energy(MemoryDesign::HeteroDmr { margin_mts: 800 }, suite, &em);
+        let base = m.energy(MemoryDesign::CommercialBaseline, suite, &dram, &cpu);
+        let hdmr = m.energy(
+            MemoryDesign::HeteroDmr { margin_mts: 800 },
+            suite,
+            &dram,
+            &cpu,
+        );
         if hdmr.epi_nj() < base.epi_nj() {
             better += 1;
         }
