@@ -38,6 +38,12 @@ echo "== batched stepping gate (controller vs frozen reference) =="
 # ops/s on an identical op sequence (asserts >= 1x internally).
 cargo bench --offline -p hdmr-bench --bench stepping
 
+echo "== ECC codec gate (table vs frozen reference) =="
+# The table-driven Reed-Solomon code must match the frozen textbook
+# reference on 4096 blocks and detect at least 3x faster than it in the
+# same process (asserted internally).
+cargo bench --offline -p hdmr-bench --bench codec
+
 echo "== bench smoke (wall-clock guardrail) =="
 # Fails when a smoke target regresses >20% against the newest recorded
 # BENCH_PR*.json baseline; skips silently when none is recorded.

@@ -69,10 +69,8 @@ impl BlockCodec {
     /// stored — both encoder and decoder know which address they are
     /// accessing, so a mismatch surfaces as nonzero syndromes.
     pub fn encode(&self, address: u64, data: &[u8; BLOCK_DATA_BYTES]) -> EccBlock {
-        let message = Self::message(address, data);
-        let parity = self.rs.parity_of(&message);
         let mut ecc = [0u8; BLOCK_ECC_BYTES];
-        ecc.copy_from_slice(&parity);
+        self.rs.parity_into(&Self::message(address, data), &mut ecc);
         EccBlock { data: *data, ecc }
     }
 
@@ -112,10 +110,12 @@ impl BlockCodec {
         Ok(fixed)
     }
 
-    fn message(address: u64, data: &[u8; BLOCK_DATA_BYTES]) -> Vec<u8> {
-        let mut message = Vec::with_capacity(8 + BLOCK_DATA_BYTES);
-        message.extend_from_slice(&address.to_be_bytes());
-        message.extend_from_slice(data);
+    /// The RS message: the big-endian address symbols, then the data.
+    /// Built on the stack, so encode and detect allocate nothing.
+    fn message(address: u64, data: &[u8; BLOCK_DATA_BYTES]) -> [u8; 8 + BLOCK_DATA_BYTES] {
+        let mut message = [0u8; 8 + BLOCK_DATA_BYTES];
+        message[..8].copy_from_slice(&address.to_be_bytes());
+        message[8..].copy_from_slice(data);
         message
     }
 }

@@ -5,8 +5,12 @@
 //! stack from the field arithmetic up:
 //!
 //! * [`gf256`] — GF(2⁸) arithmetic with compile-time tables,
-//! * [`rs`] — systematic Reed-Solomon encode, syndrome-based
-//!   detection-only decode, and full Berlekamp-Massey correction,
+//! * [`rs`] — systematic Reed-Solomon codes: table-driven encode, a
+//!   detection-only decode that compares the stored parity with the
+//!   recomputed one, syndromes taken from the `r`-symbol parity
+//!   residual, and full Berlekamp-Massey correction; [`rs::reference`]
+//!   keeps the textbook long-division encoder and whole-word syndromes
+//!   as the oracle the fast code is tested and benchmarked against,
 //! * [`bamboo`] — the Bamboo-ECC-style 64-byte block codec with
 //!   address incorporation used by Hetero-DMR (Section III-B of the
 //!   paper),

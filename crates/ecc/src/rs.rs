@@ -11,10 +11,39 @@
 //!   check, which detects *all* error patterns of up to `r` symbols
 //!   (the code's minimum distance is `r + 1`) and fails to detect a
 //!   wider pattern with probability only 2⁻⁶⁴ for r = 8.
+//!
+//! Hetero-DMR runs the detection-only decode on every fast read of a
+//! copy, so encoding and detection are table-driven:
+//!
+//! * [`ReedSolomon::new`] precomputes `f·g(x)` for every byte `f`, and
+//!   the parity is the remainder of a CRC-style shift register that
+//!   takes one table lookup per message byte. Codes with at most eight
+//!   parity symbols (the Bamboo code among them) keep the remainder in
+//!   one `u64` and fold eight message bytes per step through eight
+//!   tables (16 KiB), so the lookups do not wait on each other.
+//! * The syndromes of `message ‖ parity` are those of the `r`-symbol
+//!   residual `Δ = parity ⊕ parity_of(message)`: `(m‖p) ⊕ encode(m) =
+//!   (0…0‖Δ)`, syndromes are linear, and they vanish on codewords. So
+//!   Horner runs over `r` symbols instead of the whole word.
+//! * [`ReedSolomon::detect`] is `parity_of(message) != parity`: Δ is
+//!   nonzero exactly when some syndrome is, because a nonzero
+//!   polynomial of degree below `r` cannot have all `r` roots of g(x).
+//!
+//! [`reference`] keeps the textbook long-division encoder and
+//! whole-word syndromes; tests and the codec bench gate hold the two
+//! equal.
 
 use crate::gf256::Gf256;
 use std::error::Error;
 use std::fmt;
+
+pub mod reference;
+
+/// Code symbols per packed remainder limb.
+const LIMB_SYMBOLS: usize = 8;
+
+/// Limbs of the widest remainder (254 parity symbols).
+const MAX_LIMBS: usize = 254usize.div_ceil(LIMB_SYMBOLS);
 
 /// Outcome of a detect+correct decode that could not restore the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +70,51 @@ impl Error for RsError {}
 #[derive(Debug, Clone)]
 pub struct ReedSolomon {
     parity: usize,
-    /// Generator polynomial, lowest degree coefficient first,
-    /// normalized monic (degree `parity`).
-    generator: Vec<Gf256>,
+    tables: Tables,
+}
+
+/// Precomputed remainders, packed little-endian: the coefficient of
+/// `x^i` is byte `i % 8` of limb `i / 8`. `f·x^r mod g(x)` is `f·g(x)`
+/// without its monic `x^r` term (characteristic 2).
+///
+/// Bits above `x^(r-1)` in the last limb are don't-care, here and in
+/// every remainder built from these tables: shifts only move them up
+/// and out, and nothing reads them (see [`symbol`]).
+#[derive(Debug, Clone)]
+enum Tables {
+    /// r ≤ 8: the remainder is one `u64`. `[i][f]` is
+    /// `f·x^(r+i) mod g(x)` for i ∈ 0..8, so eight message bytes fold
+    /// into the remainder with eight independent lookups.
+    Word(Box<[[u64; 256]; 8]>),
+    /// r > 8: `rows[f·limbs..][..limbs]` is `f·x^r mod g(x)`.
+    Limbs(Vec<u64>),
+}
+
+/// Generator polynomial `g(x) = Π_{i=0}^{parity-1} (x - α^i)`, lowest
+/// degree coefficient first, monic (degree `parity`).
+fn generator(parity: usize) -> Vec<Gf256> {
+    let mut generator = vec![Gf256::ONE];
+    for i in 0..parity {
+        let root = Gf256::alpha_pow(i);
+        let mut next = vec![Gf256::ZERO; generator.len() + 1];
+        for (j, &coeff) in generator.iter().enumerate() {
+            // (x + root) * coeff·x^j  (char-2: minus == plus)
+            next[j + 1] += coeff;
+            next[j] += coeff * root;
+        }
+        generator = next;
+    }
+    generator
+}
+
+/// Bit offset of the top remainder symbol (`x^(r-1)`) within its limb.
+fn top_shift(parity: usize) -> u32 {
+    8 * ((parity - 1) % LIMB_SYMBOLS) as u32
+}
+
+/// Coefficient of `x^i` in a packed remainder.
+fn symbol(rem: &[u64], i: usize) -> u8 {
+    (rem[i / LIMB_SYMBOLS] >> (8 * (i % LIMB_SYMBOLS))) as u8
 }
 
 impl ReedSolomon {
@@ -54,19 +125,33 @@ impl ReedSolomon {
     /// Panics if `parity` is zero or greater than 254.
     pub fn new(parity: usize) -> ReedSolomon {
         assert!(parity > 0 && parity < 255, "parity must be in 1..=254");
-        // g(x) = Π_{i=0}^{parity-1} (x - α^i), built low-to-high.
-        let mut generator = vec![Gf256::ONE];
-        for i in 0..parity {
-            let root = Gf256::alpha_pow(i);
-            let mut next = vec![Gf256::ZERO; generator.len() + 1];
-            for (j, &coeff) in generator.iter().enumerate() {
-                // (x + root) * coeff·x^j  (char-2: minus == plus)
-                next[j + 1] += coeff;
-                next[j] += coeff * root;
+        let generator = generator(parity);
+        let limbs = parity.div_ceil(LIMB_SYMBOLS);
+        let mut rows = vec![0u64; 256 * limbs];
+        for (factor, row) in rows.chunks_exact_mut(limbs).enumerate() {
+            let factor = Gf256::new(factor as u8);
+            for (i, &coeff) in generator[..parity].iter().enumerate() {
+                row[i / LIMB_SYMBOLS] |=
+                    u64::from((factor * coeff).value()) << (8 * (i % LIMB_SYMBOLS));
             }
-            generator = next;
         }
-        ReedSolomon { parity, generator }
+        let tables = if limbs > 1 {
+            Tables::Limbs(rows)
+        } else {
+            // Table i+1 is table i times x: shift up one symbol and
+            // reduce the symbol that reaches x^r through table 0.
+            let top = top_shift(parity);
+            let mut word = Box::new([[0u64; 256]; 8]);
+            word[0].copy_from_slice(&rows);
+            for i in 1..8 {
+                for f in 0..256 {
+                    let v = word[i - 1][f];
+                    word[i][f] = (v << 8) ^ word[0][usize::from((v >> top) as u8)];
+                }
+            }
+            Tables::Word(word)
+        };
+        ReedSolomon { parity, tables }
     }
 
     /// Number of parity symbols.
@@ -85,61 +170,128 @@ impl ReedSolomon {
         self.parity
     }
 
+    /// The remainder of `m(x)·x^r` divided by `g(x)`, packed like
+    /// [`Tables`] in the first ⌈r/8⌉ limbs.
+    ///
+    /// A shift register: each message byte plus the top remainder
+    /// symbol picks the table row to add after shifting the remainder
+    /// up one symbol — the long-division recurrence with the
+    /// `factor·g(x)` products precomputed. One-word codes take eight
+    /// of those steps at once (`Tables::Word`).
+    fn remainder(&self, message: &[u8]) -> [u64; MAX_LIMBS] {
+        let top = top_shift(self.parity);
+        let mut rem = [0u64; MAX_LIMBS];
+        match &self.tables {
+            Tables::Word(word) => {
+                // Eight bytes at a time: with S(x) = rem(x)·x^(8-r) +
+                // the chunk, the new remainder is S(x)·x^r mod g(x) =
+                // Σ s_i·(x^(r+i) mod g(x)).
+                let align = 64 - 8 * self.parity as u32;
+                let mut a = 0u64;
+                let mut chunks = message.chunks_exact(8);
+                for chunk in &mut chunks {
+                    let chunk: [u8; 8] = chunk.try_into().expect("8-byte chunk");
+                    let s = (a << align) ^ u64::from_be_bytes(chunk);
+                    a = word
+                        .iter()
+                        .zip(s.to_le_bytes())
+                        .fold(0, |acc, (table, b)| acc ^ table[usize::from(b)]);
+                }
+                for &byte in chunks.remainder() {
+                    let factor = byte ^ (a >> top) as u8;
+                    a = (a << 8) ^ word[0][usize::from(factor)];
+                }
+                rem[0] = a;
+            }
+            Tables::Limbs(rows) => {
+                let limbs = self.parity.div_ceil(LIMB_SYMBOLS);
+                let last = limbs - 1;
+                for &byte in message {
+                    let factor = usize::from(byte ^ (rem[last] >> top) as u8);
+                    let row = &rows[factor * limbs..][..limbs];
+                    for k in (1..=last).rev() {
+                        rem[k] = (rem[k] << 8 | rem[k - 1] >> 56) ^ row[k];
+                    }
+                    rem[0] = (rem[0] << 8) ^ row[0];
+                }
+            }
+        }
+        rem
+    }
+
+    /// Writes the `r` parity symbols of `message` into `out`, highest
+    /// degree first (the order they follow the message in).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `message.len() + parity` exceeds 255 or `out` does not
+    /// hold exactly `parity` symbols.
+    pub(crate) fn parity_into(&self, message: &[u8], out: &mut [u8]) {
+        assert!(
+            message.len() + self.parity <= 255,
+            "codeword exceeds GF(256) RS length"
+        );
+        assert_eq!(out.len(), self.parity, "parity slice length");
+        let rem = self.remainder(message);
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = symbol(&rem, self.parity - 1 - j);
+        }
+    }
+
     /// Computes the `r` parity symbols for `message`.
     ///
     /// # Panics
     ///
     /// Panics if `message.len() + parity` exceeds 255.
     pub fn parity_of(&self, message: &[u8]) -> Vec<u8> {
-        assert!(
-            message.len() + self.parity <= 255,
-            "codeword exceeds GF(256) RS length"
-        );
-        // Polynomial long division of m(x)·x^r by g(x); the remainder
-        // (negated — identity in char 2) is the parity.
-        let mut remainder = vec![Gf256::ZERO; self.parity];
-        for &byte in message {
-            let factor = Gf256::new(byte) + remainder[self.parity - 1];
-            // Shift left by one symbol and subtract factor·g(x).
-            for i in (1..self.parity).rev() {
-                remainder[i] = remainder[i - 1] + factor * self.generator[i];
-            }
-            remainder[0] = factor * self.generator[0];
-        }
-        remainder.iter().rev().map(|g| g.value()).collect()
+        let mut parity = vec![0u8; self.parity];
+        self.parity_into(message, &mut parity);
+        parity
     }
 
     /// Computes the syndrome vector of `message || parity`.
     ///
     /// All-zero syndromes mean the word is a codeword (no detected
-    /// error).
+    /// error). They are evaluated on the residual `parity ⊕
+    /// parity_of(message)` (see the module docs), `r` symbols instead
+    /// of the whole word.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parity` holds exactly `r` symbols.
     pub fn syndromes(&self, message: &[u8], parity: &[u8]) -> Vec<Gf256> {
-        debug_assert_eq!(parity.len(), self.parity);
-        let n = message.len() + parity.len();
-        let mut syndromes = Vec::with_capacity(self.parity);
-        for j in 0..self.parity {
-            let alpha_j = Gf256::alpha_pow(j);
-            // Horner evaluation of the codeword polynomial at α^j,
-            // highest-degree (first message symbol) first.
-            let mut acc = Gf256::ZERO;
-            for &byte in message.iter().chain(parity.iter()) {
-                acc = acc * alpha_j + Gf256::new(byte);
-            }
-            let _ = n;
-            syndromes.push(acc);
-        }
-        syndromes
+        assert_eq!(parity.len(), self.parity, "parity slice length");
+        let rem = self.remainder(message);
+        let r = self.parity;
+        (0..r)
+            .map(|k| {
+                // Horner evaluation of Δ at α^k, highest degree first.
+                let x = Gf256::alpha_pow(k);
+                parity.iter().enumerate().fold(Gf256::ZERO, |acc, (j, &p)| {
+                    acc * x + Gf256::new(p ^ symbol(&rem, r - 1 - j))
+                })
+            })
+            .collect()
     }
 
     /// Detection-only decode: returns `true` when an error is detected.
     ///
     /// This is the decode Hetero-DMR applies to copies read from the
     /// unsafely fast Free Module — it never attempts correction, so it
-    /// can never *mis*correct.
+    /// can never *mis*correct. Some syndrome is nonzero exactly when
+    /// the stored parity differs from the message's recomputed parity.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parity` holds exactly `r` symbols.
     pub fn detect(&self, message: &[u8], parity: &[u8]) -> bool {
-        self.syndromes(message, parity)
+        assert_eq!(parity.len(), self.parity, "parity slice length");
+        let rem = self.remainder(message);
+        let r = self.parity;
+        parity
             .iter()
-            .any(|s| *s != Gf256::ZERO)
+            .enumerate()
+            .any(|(j, &p)| p != symbol(&rem, r - 1 - j))
     }
 
     /// Detect + correct decode (conventional server-memory behaviour,

@@ -14,6 +14,9 @@
 pub struct WritebackCache {
     sets: Vec<Vec<u64>>,
     ways: usize,
+    /// Blocks held across all sets, kept in step by `offer` and
+    /// `drain_with`: the node checks it on every simulated op.
+    pending: usize,
     read_hits: u64,
 }
 
@@ -38,6 +41,7 @@ impl WritebackCache {
         WritebackCache {
             sets: vec![Vec::with_capacity(ways); sets],
             ways,
+            pending: 0,
             read_hits: 0,
         }
     }
@@ -57,6 +61,7 @@ impl WritebackCache {
         }
         if set.len() < self.ways {
             set.push(block);
+            self.pending += 1;
             true
         } else {
             false
@@ -92,11 +97,12 @@ impl WritebackCache {
                 sink(block);
             }
         }
+        self.pending = 0;
     }
 
     /// Pending block count.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.pending
     }
 
     /// Whether no writes are pending.
@@ -113,6 +119,35 @@ impl WritebackCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The running count equals the sum of the set lengths after any
+        /// mix of offers (absorbed, coalesced or overflowing), read hits
+        /// and drains.
+        #[test]
+        fn len_matches_set_contents(
+            ops in proptest::collection::vec((0u8..10, 0u64..512), 0..400),
+        ) {
+            // 8 sets × 4 ways, so sets fill and overflow often.
+            let mut c = WritebackCache::new(8 * 4 * 64, 4);
+            for (kind, block) in ops {
+                match kind {
+                    0..=5 => {
+                        c.offer(block);
+                    }
+                    6..=8 => {
+                        c.read_hit(block);
+                    }
+                    _ => {
+                        let before = c.len();
+                        prop_assert_eq!(c.drain().len(), before);
+                    }
+                }
+                prop_assert_eq!(c.len(), c.sets.iter().map(Vec::len).sum::<usize>());
+            }
+        }
+    }
 
     #[test]
     fn paper_dimensions() {

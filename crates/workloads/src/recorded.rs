@@ -13,15 +13,32 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"HDMR";
 const VERSION: u32 = 1;
 
+/// Records reserved up front when reading (208 KB). The header's count
+/// is untrusted, so a longer trace grows the vector as records arrive.
+const MAX_RESERVE: usize = 16 * 1024;
+
+/// The header's record count for `len` ops.
+fn record_count(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{len} ops exceed the format's u32 record count"),
+        )
+    })
+}
+
 /// Writes `ops` in the recorded-trace format.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `writer`.
+/// Returns `InvalidInput`, before writing anything, when `ops` holds
+/// more than `u32::MAX` operations, and propagates I/O errors from
+/// `writer`.
 pub fn write_trace<W: Write>(mut writer: W, ops: &[MemOp]) -> io::Result<()> {
+    let count = record_count(ops.len())?;
     writer.write_all(MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(ops.len() as u32).to_le_bytes())?;
+    writer.write_all(&count.to_le_bytes())?;
     for op in ops {
         writer.write_all(&op.addr.to_le_bytes())?;
         writer.write_all(&op.gap_instructions.to_le_bytes())?;
@@ -34,8 +51,9 @@ pub fn write_trace<W: Write>(mut writer: W, ops: &[MemOp]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for a bad magic, unsupported version, or a
-/// truncated stream, and propagates I/O errors from `reader`.
+/// Returns `InvalidData` for a bad magic, unsupported version or
+/// unknown flag bits, `UnexpectedEof` for a stream shorter than its
+/// header's record count, and propagates I/O errors from `reader`.
 pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<MemOp>> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -57,7 +75,7 @@ pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<MemOp>> {
     reader.read_exact(&mut word)?;
     let count = u32::from_le_bytes(word) as usize;
 
-    let mut ops = Vec::with_capacity(count);
+    let mut ops = Vec::with_capacity(count.min(MAX_RESERVE));
     let mut record = [0u8; 13];
     for _ in 0..count {
         reader.read_exact(&mut record)?;
@@ -83,6 +101,48 @@ pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<MemOp>> {
 mod tests {
     use super::*;
     use crate::{Suite, TraceGen};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary bytes — raw, or behind a valid magic and version so
+        /// the count and records are exercised — read as `Ok` or `Err`,
+        /// never a panic, and an `Ok` trace has a record for each op.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            valid_header in any::<bool>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let mut input = Vec::new();
+            if valid_header {
+                input.extend_from_slice(MAGIC);
+                input.extend_from_slice(&VERSION.to_le_bytes());
+            }
+            input.extend_from_slice(&bytes);
+            if let Ok(ops) = read_trace(input.as_slice()) {
+                prop_assert!(12 + 13 * ops.len() <= input.len());
+            }
+        }
+    }
+
+    #[test]
+    fn huge_record_count_without_body_is_rejected() {
+        // A 12-byte file claiming u32::MAX records must fail on the
+        // missing body, not reserve ~68 GB for it.
+        let mut buffer = Vec::new();
+        buffer.extend_from_slice(MAGIC);
+        buffer.extend_from_slice(&VERSION.to_le_bytes());
+        buffer.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_trace(buffer.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn record_count_rejects_more_than_u32_ops() {
+        assert_eq!(record_count(7).unwrap(), 7);
+        assert_eq!(record_count(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = record_count(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
 
     #[test]
     fn round_trip_preserves_every_op() {
